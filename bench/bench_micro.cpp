@@ -24,6 +24,7 @@
 #include "nn/resnet.hpp"
 #include "nt/gemm.hpp"
 #include "ppg/ppg.hpp"
+#include "prefix/prefix_graph.hpp"
 #include "rl/env.hpp"
 #include "rl/env_pool.hpp"
 #include "sim/simulator.hpp"
@@ -92,17 +93,12 @@ void BM_Simulate64Vectors(benchmark::State& state) {
 BENCHMARK(BM_Simulate64Vectors)->Arg(8)->Arg(16);
 
 // The reward-oracle hot loop: evaluating a never-seen-before design
-// under the full multi-constraint target set. Arg0 = operand bits,
-// Arg1 = 1 for the prepared/incremental fast path, 0 for the legacy
-// rebuild-everything pipeline (the A/B the ISSUE's 3x target is
-// measured on).
+// under the full multi-constraint target set. Arg0 = operand bits.
 void BM_EvaluateUniqueDesign(benchmark::State& state) {
   const ppg::MultiplierSpec spec{static_cast<int>(state.range(0)),
                                  ppg::PpgKind::kAnd, false};
-  synth::EvaluatorOptions eopts;
-  eopts.fast_path = state.range(1) != 0;
-  // Fixed targets so both modes do identical work and no time is
-  // spent probing the delay range inside the measurement.
+  // Fixed targets so no time is spent probing the delay range inside
+  // the measurement.
   const std::vector<double> targets = synth::default_targets(spec);
   // Pool of unique random-walk trees (deduped by canonical key); the
   // evaluator is rebuilt — outside the timing — when the pool wraps so
@@ -116,14 +112,12 @@ void BM_EvaluateUniqueDesign(benchmark::State& state) {
     }
     pool = std::move(unique);
   }
-  auto evaluator =
-      std::make_unique<synth::DesignEvaluator>(spec, targets, eopts);
+  auto evaluator = std::make_unique<synth::DesignEvaluator>(spec, targets);
   std::size_t next = 0;
   for (auto _ : state) {
     if (next == pool.size()) {
       state.PauseTiming();
-      evaluator =
-          std::make_unique<synth::DesignEvaluator>(spec, targets, eopts);
+      evaluator = std::make_unique<synth::DesignEvaluator>(spec, targets);
       next = 0;
       state.ResumeTiming();
     }
@@ -132,26 +126,20 @@ void BM_EvaluateUniqueDesign(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvaluateUniqueDesign)
-    ->ArgNames({"bits", "fast"})
-    ->Args({8, 1})
-    ->Args({8, 0})
-    ->Args({16, 1})
-    ->Args({16, 0})
+    ->ArgNames({"bits"})
+    ->Arg(8)
+    ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
-// Batched SoA evaluation throughput (the ISSUE's >= 3x target at
-// batch >= 8, 16-bit). Arg0 = operand bits, Arg1 = batch size K: every
-// iteration evaluates K never-seen-before designs, through one
-// evaluate_batch() call for K > 1 or the per-call single path for
-// K == 1 (EvaluatorOptions::batch = 1 disables coalescing entirely, so
-// that lane is the legacy baseline the ratio is measured against).
-// items_per_second therefore reads as unique designs per second.
+// Batched SoA evaluation throughput. Arg0 = operand bits, Arg1 =
+// group size K: every iteration evaluates K never-seen-before designs,
+// through one evaluate_batch() call for K > 1 or one evaluate() call
+// for K == 1 (a batch of one). items_per_second therefore reads as
+// unique designs per second.
 void BM_EvaluateBatch(benchmark::State& state) {
   const ppg::MultiplierSpec spec{static_cast<int>(state.range(0)),
                                  ppg::PpgKind::kAnd, false};
   const int batch = static_cast<int>(state.range(1));
-  synth::EvaluatorOptions eopts;
-  eopts.batch = batch;
   const std::vector<double> targets = synth::default_targets(spec);
   // Unique random-walk trees; the evaluator is rebuilt — outside the
   // timing — when the pool wraps so every timed design is a cache miss.
@@ -165,14 +153,12 @@ void BM_EvaluateBatch(benchmark::State& state) {
     pool = std::move(unique);
   }
   const std::size_t k = static_cast<std::size_t>(batch);
-  auto evaluator =
-      std::make_unique<synth::DesignEvaluator>(spec, targets, eopts);
+  auto evaluator = std::make_unique<synth::DesignEvaluator>(spec, targets);
   std::size_t next = 0;
   for (auto _ : state) {
     if (next + k > pool.size()) {
       state.PauseTiming();
-      evaluator =
-          std::make_unique<synth::DesignEvaluator>(spec, targets, eopts);
+      evaluator = std::make_unique<synth::DesignEvaluator>(spec, targets);
       next = 0;
       state.ResumeTiming();
     }
@@ -200,77 +186,76 @@ BENCHMARK(BM_EvaluateBatch)
     ->Args({16, 4})
     ->Args({16, 8})
     ->Args({16, 16})
-    // The single path fans per-target synthesis out to the shared
-    // pool, so the meaningful rate (and the 3x ratio) is wall-clock.
+    // A drain fans designs out to the shared pool, so the meaningful
+    // rate is wall-clock.
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Trajectory-shaped evaluation through the delta path: every timed
-// evaluate() is a never-seen-before child hinted with its pre-move
-// parent — the shape rl::MultiplierEnv::step and the SA chain emit.
-// Arg0 = operand bits, Arg1 = 1 for RLMUL_DELTA_EVAL=1
-// (parent-relative netlist patch + STA warm-start), 0 for the
-// from-scratch pipeline (the A/B the ISSUE's >= 1.5x trajectory target
-// is measured on; bit-identity is enforced by tests/test_delta_eval.cpp
-// and bench_delta).
+// Trajectory-shaped evaluation through the delta route: every timed
+// evaluate() is a never-seen-before CPA-pinned point hinted with its
+// pre-move parent — the shape rl::MultiplierEnv::step and the joint SA
+// chain emit. Arg0 = operand bits. Bit-identity to the reference
+// pipeline is enforced by tests/test_delta_eval.cpp.
 void BM_EvaluateDelta(benchmark::State& state) {
   const ppg::MultiplierSpec spec{static_cast<int>(state.range(0)),
                                  ppg::PpgKind::kAnd, false};
-  const bool delta_on = state.range(1) != 0;
   const std::vector<double> targets = synth::default_targets(spec);
-  // Random-walk chain: step i's tree is one legal action off step
-  // i-1's, so each evaluation hints the previous design as its parent.
+  // Random-walk chain over the tree under one pinned Sklansky adder:
+  // step i is one legal action off step i-1, so each evaluation hints
+  // the previous point as its parent.
   struct TrajStep {
-    ct::CompressorTree tree;
+    ppg::DesignPoint point;
     std::string parent_key;
   };
+  ppg::DesignPoint root;
+  root.ppg = spec.ppg;
+  root.tree = ppg::initial_tree(spec);
+  root.cpa = prefix::sklansky(spec.columns());
   std::vector<TrajStep> chain;
   {
     util::Rng rng(77);
-    std::set<std::string> seen{ppg::initial_tree(spec).key()};
-    ct::CompressorTree cur = ppg::initial_tree(spec);
+    std::set<std::string> seen{root.key(spec)};
+    ppg::DesignPoint cur = root;
     while (chain.size() < 64) {
-      const auto mask = ct::legal_action_mask(cur);
+      const auto mask = ct::legal_action_mask(cur.tree);
       std::vector<int> legal;
       for (int k = 0; k < static_cast<int>(mask.size()); ++k) {
         if (mask[k]) legal.push_back(k);
       }
       if (legal.empty()) break;
-      ct::CompressorTree child = ct::apply_action(
-          cur, ct::action_from_index(legal[rng.next() % legal.size()]));
-      if (seen.insert(child.key()).second) {
-        chain.push_back({child, cur.key()});
+      ppg::DesignPoint child = cur;
+      child.tree = ct::apply_action(
+          cur.tree, ct::action_from_index(legal[rng.next() % legal.size()]));
+      if (seen.insert(child.key(spec)).second) {
+        chain.push_back({child, cur.key(spec)});
       }
       cur = std::move(child);
     }
   }
-  // The evaluator resolves the delta switch at construction; restore
-  // the inherited setting after the run so A/B pairs share a process.
-  setenv("RLMUL_DELTA_EVAL", delta_on ? "1" : "0", 1);
-  synth::EvaluatorOptions eopts;
-  eopts.batch = 1;  // hints act on the per-call path only
-  auto evaluator =
-      std::make_unique<synth::DesignEvaluator>(spec, targets, eopts);
+  // A fresh evaluator retains the chain's root as the first parent.
+  auto fresh = [&] {
+    auto ev = std::make_unique<synth::DesignEvaluator>(spec, targets);
+    ev->evaluate(root);
+    return ev;
+  };
+  auto evaluator = fresh();
   std::size_t next = 0;
   for (auto _ : state) {
     if (next == chain.size()) {
       state.PauseTiming();
-      evaluator =
-          std::make_unique<synth::DesignEvaluator>(spec, targets, eopts);
+      evaluator = fresh();
       next = 0;
       state.ResumeTiming();
     }
     const auto eval = evaluator->evaluate(
-        chain[next].tree, synth::ParentHint{chain[next].parent_key});
+        chain[next].point, synth::ParentHint{chain[next].parent_key});
     benchmark::DoNotOptimize(eval.sum_area);
     ++next;
   }
-  unsetenv("RLMUL_DELTA_EVAL");
 }
 BENCHMARK(BM_EvaluateDelta)
-    ->ArgNames({"bits", "delta"})
-    ->Args({16, 1})
-    ->Args({16, 0})
+    ->ArgNames({"bits"})
+    ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 // One parallel environment step dispatched through the persistent

@@ -1,7 +1,8 @@
 # Lint targets, all runnable locally via `cmake --build build --target
 # <name>` and wired into the CI lint job:
 #
-#   lint          repo-specific invariants (tools/lint/check_invariants.py)
+#   lint          repo-specific invariants (tools/lint/check_invariants.py,
+#                 after its --self-test of the rules' negative cases)
 #   format-check  clang-format --dry-run --Werror (needs clang-format)
 #   tidy          clang-tidy over src/ via compile_commands.json
 #                 (needs clang-tidy)
@@ -18,6 +19,8 @@ else()
 endif()
 
 add_custom_target(lint
+  COMMAND ${_lint_python} ${CMAKE_SOURCE_DIR}/tools/lint/check_invariants.py
+          --self-test
   COMMAND ${_lint_python} ${CMAKE_SOURCE_DIR}/tools/lint/check_invariants.py
           --root ${CMAKE_SOURCE_DIR} --compiler ${CMAKE_CXX_COMPILER}
   WORKING_DIRECTORY ${CMAKE_SOURCE_DIR}

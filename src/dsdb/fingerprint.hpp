@@ -10,11 +10,11 @@
 // specs with identical compressor counts must never share records. The
 // context fingerprint covers the evaluation contract: the exact IEEE
 // bit patterns of the delay-target set plus the record format version.
-// Evaluator options that are bit-identical A/B switches (fast path,
-// parallel targets, functional verification) are deliberately excluded,
-// so RLMUL_FASTPATH=0 runs share records with fast-path runs; any
-// future option that changes the reported numbers must be folded into
-// context_fingerprint alongside a version bump.
+// Evaluator options that cannot change the reported numbers (pool size,
+// functional verification) are deliberately excluded, so runs that
+// differ only in them share records; any future option that changes
+// the reported numbers must be folded into context_fingerprint
+// alongside a version bump.
 
 #include <cstddef>
 #include <cstdint>

@@ -12,8 +12,7 @@
 //    parallelism level (enforced by tests/test_gemm.cpp).
 //  * kNaive — the reference loops the layers historically ran
 //    (dot-product order for A·Bᵀ, saxpy order for the backward
-//    variants). Selected with RLMUL_GEMM=naive, mirroring
-//    RLMUL_FASTPATH for the synthesis pipeline; the tests use it as
+//    variants). Selected with RLMUL_GEMM=naive; the tests use it as
 //    the oracle the blocked kernels are checked against.
 //
 // The two modes legitimately differ in float rounding (blocked

@@ -51,28 +51,25 @@ std::vector<EnvPool::StepOutcome> EnvPool::step_all(
   if (actions.size() != envs_.size()) {
     throw std::invalid_argument("EnvPool::step_all: action count mismatch");
   }
-  if (evaluator_.batch() > 1) {
-    // Prefetch: evaluate every post-action state as one coalesced
-    // batch before the env tasks run. The tasks then resolve from the
-    // cache, so rewards and env trajectories are unchanged — the
-    // synthesis just happened in shared sweeps instead of N separate
-    // drains racing on the evaluator queue. (With batching off, each
-    // env task instead evaluates through step()'s parent hint, so the
-    // pool's concurrent children delta off their retained parents.)
-    std::vector<ct::CompressorTree> next;
-    next.reserve(envs_.size());
-    for (std::size_t e = 0; e < envs_.size(); ++e) {
-      if (actions[e] < 0) continue;  // reset, no evaluation needed
-      // Joint-search envs evaluate full design points (pinned CPA /
-      // non-default PPG), which take the per-point evaluation path —
-      // a plain-tree prefetch would warm the wrong cache key.
-      if (envs_[e]->joint_search()) continue;
-      const ct::Action action = ct::action_from_index(actions[e]);
-      if (!ct::action_applicable(envs_[e]->tree(), action)) continue;
-      next.push_back(ct::apply_action(envs_[e]->tree(), action));
-    }
-    if (!next.empty()) evaluator_.evaluate_batch(next);
+  // Prefetch: evaluate every post-action tree as one coalesced batch
+  // before the env tasks run. The tasks then resolve from the cache, so
+  // rewards and env trajectories are unchanged — the synthesis just
+  // happened in shared sweeps instead of N separate drains racing on
+  // the evaluator queue.
+  std::vector<ct::CompressorTree> next;
+  next.reserve(envs_.size());
+  for (std::size_t e = 0; e < envs_.size(); ++e) {
+    if (actions[e] < 0) continue;  // reset, no evaluation needed
+    // Joint-search envs evaluate full design points (pinned CPA /
+    // non-default PPG) on the per-call delta route, hinted with their
+    // pre-move state — a plain-tree prefetch would warm the wrong
+    // cache key.
+    if (envs_[e]->joint_search()) continue;
+    const ct::Action action = ct::action_from_index(actions[e]);
+    if (!ct::action_applicable(envs_[e]->tree(), action)) continue;
+    next.push_back(ct::apply_action(envs_[e]->tree(), action));
   }
+  if (!next.empty()) evaluator_.evaluate_batch(next);
   std::vector<std::future<StepOutcome>> futs;
   futs.reserve(envs_.size());
   for (std::size_t e = 0; e < envs_.size(); ++e) {

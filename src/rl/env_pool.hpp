@@ -65,10 +65,10 @@ class EnvPool {
   /// Steps env i with actions[i]; a negative action resets that env
   /// (the dead-end convention of the trainers). All envs advance
   /// concurrently on the persistent workers; outcomes are gathered in
-  /// pool order, so results are independent of scheduling. When the
-  /// evaluator batches, the post-action trees are submitted up front
-  /// as one evaluate_batch — one coalesced sweep warms the cache the
-  /// env steps then hit, instead of N racing drains.
+  /// pool order, so results are independent of scheduling. Tree-only
+  /// envs' post-action trees are submitted up front as one
+  /// evaluate_batch — one coalesced sweep warms the cache the env
+  /// steps then hit, instead of N racing drains.
   std::vector<StepOutcome> step_all(const std::vector<int>& actions);
 
  private:

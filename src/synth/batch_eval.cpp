@@ -113,18 +113,7 @@ std::vector<SynthesisResult> synthesize_all_targets(
   const PreparedDesign prep(spec, tree);
 
   if (opts.verify_functionality) {
-    // Same gate, same seed, same message as DesignEvaluator::compute.
-    const auto& nl = prep.netlist(netlist::CpaKind::kRippleCarry);
-    util::Rng rng(0x5EC5EC ^ std::hash<std::string>{}(key));
-    const auto rep =
-        sim::check_equivalence(nl, spec, rng, 1 << 16, opts.verify_vectors);
-    if (!rep.equivalent) {
-      std::ostringstream msg;
-      msg << "DesignEvaluator: functional mismatch (a=" << rep.a
-          << ", b=" << rep.b << ", acc=" << rep.acc << ", got=" << rep.got
-          << ", expect=" << rep.expect << ")";
-      throw std::runtime_error(msg.str());
-    }
+    verify_equivalence(prep.netlist_at(0), spec, key, opts.verify_vectors);
   }
 
   const SynthesisOptions sopts;  // defaults, as PreparedDesign::synthesize
@@ -305,6 +294,19 @@ std::vector<SynthesisResult> synthesize_all_targets(
 }
 
 }  // namespace
+
+void verify_equivalence(const Netlist& nl, const ppg::MultiplierSpec& spec,
+                        const std::string& key, std::uint64_t vectors) {
+  util::Rng rng(0x5EC5EC ^ std::hash<std::string>{}(key));
+  const auto rep = sim::check_equivalence(nl, spec, rng, 1 << 16, vectors);
+  if (!rep.equivalent) {
+    std::ostringstream msg;
+    msg << "DesignEvaluator: functional mismatch (a=" << rep.a
+        << ", b=" << rep.b << ", acc=" << rep.acc << ", got=" << rep.got
+        << ", expect=" << rep.expect << ")";
+    throw std::runtime_error(msg.str());
+  }
+}
 
 BatchEvaluator::BatchEvaluator(ppg::MultiplierSpec spec,
                                std::vector<double> targets,

@@ -1,15 +1,11 @@
 #include "synth/evaluator.hpp"
 
-#include <algorithm>
 #include <future>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "sim/simulator.hpp"
 #include "sta/batch_sweep.hpp"
 #include "synth/batch_eval.hpp"
-#include "util/config.hpp"
 #include "util/perf_counters.hpp"
 
 namespace rlmul::synth {
@@ -36,7 +32,12 @@ DesignEvaluator::DesignEvaluator(ppg::MultiplierSpec spec,
                                  std::vector<double> targets,
                                  const EvaluatorOptions& opts)
     : spec_(spec), targets_(std::move(targets)), opts_(opts) {
-  fast_path_ = opts_.fast_path && util::env_long("RLMUL_FASTPATH", 1) != 0;
+  // The batched pipeline sizes one lane per target.
+  if (targets_.size() > static_cast<std::size_t>(sta::BatchTimer::kMaxLanes)) {
+    throw std::invalid_argument(
+        "DesignEvaluator: more delay targets than BatchTimer lanes (" +
+        std::to_string(sta::BatchTimer::kMaxLanes) + ")");
+  }
   if (opts_.synth_threads > 0) {
     owned_pool_ = std::make_unique<util::ThreadPool>(opts_.synth_threads);
     pool_ = owned_pool_.get();
@@ -44,26 +45,10 @@ DesignEvaluator::DesignEvaluator(ppg::MultiplierSpec spec,
     pool_ = &util::ThreadPool::shared();
   }
   if (targets_.empty()) targets_ = default_targets(spec_);
-  // The batched pipeline sizes one lane per target; more targets than
-  // lane bits (unheard of — the paper uses 4) falls back to the
-  // single-design path.
-  if (fast_path_ &&
-      targets_.size() <= static_cast<std::size_t>(sta::BatchTimer::kMaxLanes)) {
-    const long b = util::env_long("RLMUL_BATCH_EVAL", opts_.batch);
-    if (b > 1) batch_ = static_cast<int>(std::min<long>(b, 4096));
-  }
-  if (batch_ > 1) {
-    BatchOptions bopts;
-    bopts.verify_functionality = opts_.verify_functionality;
-    bopts.verify_vectors = opts_.verify_vectors;
-    batch_eval_ = std::make_unique<BatchEvaluator>(spec_, targets_, bopts);
-  }
-  // Delta evaluation rides the per-call prepared-design path; it needs
-  // the fast path and a non-empty parent budget.
-  delta_ = fast_path_ && util::env_long("RLMUL_DELTA_EVAL", 1) != 0;
-  const long pcap = util::env_long("RLMUL_DELTA_PARENTS", 16);
-  parents_cap_ = pcap > 0 ? static_cast<std::size_t>(pcap) : 0;
-  if (parents_cap_ == 0) delta_ = false;
+  BatchOptions bopts;
+  bopts.verify_functionality = opts_.verify_functionality;
+  bopts.verify_vectors = opts_.verify_vectors;
+  batch_eval_ = std::make_unique<BatchEvaluator>(spec_, targets_, bopts);
   const DesignEval ref = evaluate(ppg::initial_tree(spec_));
   ref_area_ = ref.sum_area > 0.0 ? ref.sum_area : 1.0;
   ref_delay_ = ref.sum_delay > 0.0 ? ref.sum_delay : 1.0;
@@ -87,7 +72,7 @@ void DesignEvaluator::parent_put(
   auto [it, inserted] = parents_.try_emplace(key);
   it->second.prep = std::move(prep);
   it->second.tick = ++parents_tick_;
-  if (parents_.size() > parents_cap_) {
+  if (parents_.size() > kParents) {
     auto victim = parents_.begin();
     for (auto cur = parents_.begin(); cur != parents_.end(); ++cur) {
       if (cur->second.tick < victim->second.tick) victim = cur;
@@ -96,37 +81,38 @@ void DesignEvaluator::parent_put(
   }
 }
 
-DesignEval DesignEvaluator::run_delta(
-    const std::shared_ptr<PreparedDesign>& prep,
-    const ppg::MultiplierSpec& resolved, const std::string& key,
-    const ParentHint& hint) const {
+DesignEval DesignEvaluator::compute_point(const ppg::DesignPoint& point,
+                                          const std::string& key,
+                                          const ParentHint& hint) const {
+  // Menu points with only a PPG change walk the same kAllCpaKinds sweep
+  // plain designs do, under the toggled spec.
+  const ppg::MultiplierSpec resolved = point.resolved_spec(spec_);
+  auto parent = parent_get(hint.key);
+  auto prep =
+      point.cpa_pinned()
+          ? std::make_shared<PreparedDesign>(PreparedDesign::DeltaMode{},
+                                             resolved, point.tree, point.cpa,
+                                             std::move(parent))
+          : std::make_shared<PreparedDesign>(PreparedDesign::DeltaMode{},
+                                             resolved, point.tree,
+                                             std::move(parent));
   if (opts_.verify_functionality) {
-    // Same equivalence gate as the scratch paths, on menu entry 0.
-    const auto& nl = prep->netlist_at(0);
-    util::Rng rng(0x5EC5EC ^ std::hash<std::string>{}(key));
-    const auto rep = sim::check_equivalence(nl, resolved, rng, 1 << 16,
-                                            opts_.verify_vectors);
-    if (!rep.equivalent) {
-      std::ostringstream msg;
-      msg << "DesignEvaluator: functional mismatch (a=" << rep.a
-          << ", b=" << rep.b << ", acc=" << rep.acc << ", got=" << rep.got
-          << ", expect=" << rep.expect << ")";
-      throw std::runtime_error(msg.str());
-    }
+    verify_equivalence(prep->netlist_at(0), resolved, key,
+                       opts_.verify_vectors);
   }
+  // One pool task per delay constraint, gathered in target order, so
+  // the sums are bit-identical to a serial evaluation. Wait for every
+  // task before the first get(): a throwing target must not unwind
+  // while siblings still use `prep`.
+  std::vector<std::future<SynthesisResult>> futs;
+  futs.reserve(targets_.size());
+  for (double target : targets_) {
+    futs.push_back(
+        pool_->submit([prep, target] { return prep->synthesize(target); }));
+  }
+  for (auto& f : futs) f.wait();
   std::vector<SynthesisResult> results;
-  if (opts_.parallel_targets && targets_.size() > 1) {
-    std::vector<std::future<SynthesisResult>> futs;
-    futs.reserve(targets_.size());
-    for (double target : targets_) {
-      futs.push_back(
-          pool_->submit([prep, target] { return prep->synthesize(target); }));
-    }
-    for (auto& f : futs) f.wait();
-    for (auto& f : futs) results.push_back(f.get());
-  } else {
-    for (double target : targets_) results.push_back(prep->synthesize(target));
-  }
+  for (auto& f : futs) results.push_back(f.get());
   auto& counters = util::perf_counters();
   if (prep->used_parent()) {
     counters.eval_delta_hits.fetch_add(1, std::memory_order_relaxed);
@@ -139,152 +125,6 @@ DesignEval DesignEvaluator::run_delta(
   prep->seal_for_retention();
   parent_put(key, prep);
   DesignEval eval;
-  for (const SynthesisResult& res : results) {
-    eval.sum_area += res.area_um2;
-    eval.sum_delay += res.delay_ns;
-    eval.sum_power += res.power_mw;
-    eval.per_target.push_back(res);
-  }
-  return eval;
-}
-
-DesignEval DesignEvaluator::compute(const ct::CompressorTree& tree,
-                                    const std::string& key,
-                                    const ParentHint& hint) const {
-  if (fast_path_ && delta_) {
-    auto prep = std::make_shared<PreparedDesign>(
-        PreparedDesign::DeltaMode{}, spec_, tree, parent_get(hint.key));
-    return run_delta(prep, spec_, key, hint);
-  }
-  DesignEval eval;
-  std::vector<SynthesisResult> results;
-
-  if (fast_path_) {
-    const PreparedDesign prep(spec_, tree);
-    if (opts_.verify_functionality) {
-      // The equivalence gate the paper runs through ABC `cec`: a design
-      // that fails here is a generator bug, never a scoring matter.
-      // Gate on the prepared ripple netlist instead of a fresh build.
-      const auto& nl = prep.netlist(netlist::CpaKind::kRippleCarry);
-      util::Rng rng(0x5EC5EC ^ std::hash<std::string>{}(key));
-      const auto rep = sim::check_equivalence(nl, spec_, rng, 1 << 16,
-                                              opts_.verify_vectors);
-      if (!rep.equivalent) {
-        std::ostringstream msg;
-        msg << "DesignEvaluator: functional mismatch (a=" << rep.a
-            << ", b=" << rep.b << ", acc=" << rep.acc << ", got=" << rep.got
-            << ", expect=" << rep.expect << ")";
-        throw std::runtime_error(msg.str());
-      }
-    }
-    if (opts_.parallel_targets && targets_.size() > 1) {
-      // One pool task per delay constraint; all of them size private
-      // copies of the shared prepared netlists. Futures are gathered in
-      // target order, so the aggregate sums are bit-identical to a
-      // serial evaluation regardless of completion order.
-      std::vector<std::future<SynthesisResult>> futs;
-      futs.reserve(targets_.size());
-      for (double target : targets_) {
-        futs.push_back(
-            pool_->submit([&prep, target] { return prep.synthesize(target); }));
-      }
-      // Wait for every task before the first get(): a throwing target
-      // must not unwind while siblings still reference `prep`.
-      for (auto& f : futs) f.wait();
-      for (auto& f : futs) results.push_back(f.get());
-    } else {
-      for (double target : targets_) results.push_back(prep.synthesize(target));
-    }
-  } else {
-    if (opts_.verify_functionality) {
-      auto nl = ppg::build_multiplier(spec_, tree,
-                                      netlist::CpaKind::kRippleCarry);
-      util::Rng rng(0x5EC5EC ^ std::hash<std::string>{}(key));
-      const auto rep = sim::check_equivalence(nl, spec_, rng, 1 << 16,
-                                              opts_.verify_vectors);
-      if (!rep.equivalent) {
-        std::ostringstream msg;
-        msg << "DesignEvaluator: functional mismatch (a=" << rep.a
-            << ", b=" << rep.b << ", acc=" << rep.acc << ", got=" << rep.got
-            << ", expect=" << rep.expect << ")";
-        throw std::runtime_error(msg.str());
-      }
-    }
-    for (double target : targets_) {
-      results.push_back(synthesize_design_legacy(spec_, tree, target));
-    }
-  }
-
-  for (const SynthesisResult& res : results) {
-    eval.sum_area += res.area_um2;
-    eval.sum_delay += res.delay_ns;
-    eval.sum_power += res.power_mw;
-    eval.per_target.push_back(res);
-  }
-  return eval;
-}
-
-DesignEval DesignEvaluator::compute_point(const ppg::DesignPoint& point,
-                                          const std::string& key,
-                                          const ParentHint& hint) const {
-  // Extended points always take the prepared-design path: a pinned CPA
-  // has no legacy pipeline, and a PPG toggle resolves to the same flow
-  // under the toggled spec. Menu points with only a PPG change walk
-  // the same kAllCpaKinds sweep the tree path does.
-  const ppg::MultiplierSpec resolved = point.resolved_spec(spec_);
-  if (fast_path_ && delta_) {
-    auto parent = parent_get(hint.key);
-    auto prep =
-        point.cpa_pinned()
-            ? std::make_shared<PreparedDesign>(PreparedDesign::DeltaMode{},
-                                               resolved, point.tree, point.cpa,
-                                               std::move(parent))
-            : std::make_shared<PreparedDesign>(PreparedDesign::DeltaMode{},
-                                               resolved, point.tree,
-                                               std::move(parent));
-    return run_delta(prep, resolved, key, hint);
-  }
-  DesignEval eval;
-  std::vector<SynthesisResult> results;
-
-  auto run = [&](const PreparedDesign& prep) {
-    if (opts_.verify_functionality) {
-      // Same equivalence gate as the tree path, on menu entry 0 (the
-      // ripple netlist for menu points, the pinned graph otherwise).
-      const auto& nl = prep.netlist_at(0);
-      util::Rng rng(0x5EC5EC ^ std::hash<std::string>{}(key));
-      const auto rep = sim::check_equivalence(nl, resolved, rng, 1 << 16,
-                                              opts_.verify_vectors);
-      if (!rep.equivalent) {
-        std::ostringstream msg;
-        msg << "DesignEvaluator: functional mismatch (a=" << rep.a
-            << ", b=" << rep.b << ", acc=" << rep.acc << ", got=" << rep.got
-            << ", expect=" << rep.expect << ")";
-        throw std::runtime_error(msg.str());
-      }
-    }
-    if (opts_.parallel_targets && targets_.size() > 1) {
-      std::vector<std::future<SynthesisResult>> futs;
-      futs.reserve(targets_.size());
-      for (double target : targets_) {
-        futs.push_back(
-            pool_->submit([&prep, target] { return prep.synthesize(target); }));
-      }
-      for (auto& f : futs) f.wait();
-      for (auto& f : futs) results.push_back(f.get());
-    } else {
-      for (double target : targets_) results.push_back(prep.synthesize(target));
-    }
-  };
-
-  if (point.cpa_pinned()) {
-    const PreparedDesign prep(resolved, point.tree, point.cpa);
-    run(prep);
-  } else {
-    const PreparedDesign prep(resolved, point.tree);
-    run(prep);
-  }
-
   for (const SynthesisResult& res : results) {
     eval.sum_area += res.area_um2;
     eval.sum_delay += res.delay_ns;
@@ -318,11 +158,22 @@ std::size_t DesignEvaluator::install_locked(const std::string& key,
   return it->second;
 }
 
-DesignEval DesignEvaluator::evaluate(const ct::CompressorTree& tree,
+DesignEval DesignEvaluator::evaluate(const ppg::DesignPoint& point,
                                      const ParentHint& hint) {
-  if (batch_ > 1) return evaluate_batched(tree);
+  if (point.ppg == spec_.ppg && !point.cpa_pinned()) {
+    // Plain point: exactly the tree contract — same keys, same
+    // batching/coalescing, bit-identical results and accounting.
+    return evaluate(point.tree);
+  }
+  return evaluate_extended(point, point.key(spec_), hint);
+}
 
-  const std::string key = tree.key();
+DesignEval DesignEvaluator::evaluate_extended(const ppg::DesignPoint& point,
+                                              const std::string& key,
+                                              const ParentHint& hint) {
+  // Extended points never enter the pending_/drain machinery (the SoA
+  // batch pipeline is built per spec and per menu); they run per call
+  // with the same in-flight dedup on the extended key.
   {
     util::UniqueLock lock(mu_);
     for (;;) {
@@ -337,8 +188,8 @@ DesignEval DesignEvaluator::evaluate(const ct::CompressorTree& tree,
         return evals_[it->second];
       }
       if (in_flight_.find(key) == in_flight_.end()) break;
-      // Another worker is synthesizing this exact tree right now: wait
-      // for its result instead of duplicating hours of tool time.
+      // Another worker is synthesizing this exact point right now: wait
+      // for its result instead of duplicating the synthesis.
       {
         util::LockGuard slock(stats_mu_);
         ++stats_.inflight_waits;
@@ -352,99 +203,8 @@ DesignEval DesignEvaluator::evaluate(const ct::CompressorTree& tree,
 
   // A cross-run cache hit replaces synthesis entirely: the stored
   // evaluation was produced under the same spec/target contract, so it
-  // is bit-identical to what compute() would return — and it is free
-  // (no budget charge, no unique_evals bump).
-  if (opts_.external_cache != nullptr) {
-    DesignEval stored;
-    if (opts_.external_cache->lookup(key, tree, stored)) {
-      util::LockGuard lock(mu_);
-      in_flight_.erase(key);
-      {
-        util::LockGuard slock(stats_mu_);
-        ++stats_.external_hits;
-      }
-      const std::size_t idx = install_locked(key, tree, stored);
-      cv_.notify_all();
-      return evals_[idx];
-    }
-  }
-
-  // Synthesize outside the lock so workers on *different* trees overlap.
-  DesignEval eval;
-  try {
-    eval = compute(tree, key, hint);
-  } catch (...) {
-    util::LockGuard lock(mu_);
-    in_flight_.erase(key);
-    cv_.notify_all();
-    throw;
-  }
-
-  std::size_t idx = 0;
-  {
-    util::LockGuard lock(mu_);
-    in_flight_.erase(key);
-    const std::size_t before = designs_.size();
-    idx = install_locked(key, tree, eval);
-    if (designs_.size() > before) {
-      {
-        util::LockGuard slock(stats_mu_);
-        ++stats_.unique_evals;
-      }
-      util::perf_counters().unique_evals.fetch_add(1,
-                                                   std::memory_order_relaxed);
-    }
-    cv_.notify_all();
-  }
-  // Offer the fresh result to the cross-run cache outside the mutex —
-  // the store may journal to disk and must not serialize evaluations.
-  if (opts_.external_cache != nullptr) {
-    opts_.external_cache->store(key, tree, eval);
-  }
-  return eval_of(idx);
-}
-
-DesignEval DesignEvaluator::evaluate(const ppg::DesignPoint& point,
-                                     const ParentHint& hint) {
-  if (point.ppg == spec_.ppg && !point.cpa_pinned()) {
-    // Plain point: exactly the tree contract — same keys, same
-    // batching/coalescing, bit-identical results and accounting.
-    return evaluate(point.tree, hint);
-  }
-  return evaluate_point_uncoalesced(point, point.key(spec_), hint);
-}
-
-DesignEval DesignEvaluator::evaluate_point_uncoalesced(
-    const ppg::DesignPoint& point, const std::string& key,
-    const ParentHint& hint) {
-  // Extended points never enter the pending_/drain machinery (the SoA
-  // batch pipeline is built per spec and per menu); they run the
-  // per-call flow with the same in-flight dedup on the extended key.
-  {
-    util::UniqueLock lock(mu_);
-    for (;;) {
-      auto it = index_.find(key);
-      if (it != index_.end()) {
-        {
-          util::LockGuard slock(stats_mu_);
-          ++stats_.cache_hits;
-        }
-        util::perf_counters().cache_hits.fetch_add(1,
-                                                   std::memory_order_relaxed);
-        return evals_[it->second];
-      }
-      if (in_flight_.find(key) == in_flight_.end()) break;
-      {
-        util::LockGuard slock(stats_mu_);
-        ++stats_.inflight_waits;
-      }
-      util::perf_counters().inflight_waits.fetch_add(
-          1, std::memory_order_relaxed);
-      cv_.wait(lock);
-    }
-    in_flight_.insert(key);
-  }
-
+  // is bit-identical to what compute_point() would return — and it is
+  // free (no budget charge, no unique_evals bump).
   if (opts_.external_cache != nullptr) {
     DesignEval stored;
     if (opts_.external_cache->lookup_point(key, point, stored)) {
@@ -460,6 +220,8 @@ DesignEval DesignEvaluator::evaluate_point_uncoalesced(
     }
   }
 
+  // Synthesize outside the lock so workers on *different* points
+  // overlap.
   DesignEval eval;
   try {
     eval = compute_point(point, key, hint);
@@ -486,6 +248,8 @@ DesignEval DesignEvaluator::evaluate_point_uncoalesced(
     }
     cv_.notify_all();
   }
+  // Offer the fresh result to the cross-run cache outside the mutex —
+  // the store may journal to disk and must not serialize evaluations.
   if (opts_.external_cache != nullptr) {
     opts_.external_cache->store_point(key, point, eval);
   }
@@ -516,7 +280,7 @@ void DesignEvaluator::drain_locked(util::UniqueLock& lock,
     in_flight_.insert(k);
   };
   take(my_key);
-  while (static_cast<int>(keys.size()) < batch_ && !pending_order_.empty()) {
+  while (static_cast<int>(keys.size()) < kBatch && !pending_order_.empty()) {
     const std::string k = std::move(pending_order_.front());
     pending_order_.pop_front();
     if (pending_.find(k) == pending_.end()) continue;  // stale entry
@@ -525,7 +289,7 @@ void DesignEvaluator::drain_locked(util::UniqueLock& lock,
   lock.unlock();
 
   // External-cache hits replace synthesis and charge nothing, exactly
-  // as on the per-call path.
+  // as on the extended-point route.
   std::vector<char> external(keys.size(), 0);
   std::vector<DesignEval> stored(keys.size());
   std::vector<std::size_t> miss;
@@ -625,7 +389,7 @@ void DesignEvaluator::drain_locked(util::UniqueLock& lock,
   if (my_error != nullptr) std::rethrow_exception(my_error);
 }
 
-DesignEval DesignEvaluator::evaluate_batched(const ct::CompressorTree& tree) {
+DesignEval DesignEvaluator::evaluate(const ct::CompressorTree& tree) {
   const std::string key = tree.key();
   std::unordered_set<std::string> resolved;
   util::UniqueLock lock(mu_);
@@ -633,9 +397,8 @@ DesignEval DesignEvaluator::evaluate_batched(const ct::CompressorTree& tree) {
     auto it = index_.find(key);
     if (it != index_.end()) {
       if (resolved.count(key) != 0) {
-        // This caller's own drain produced the result — same
-        // accounting as the computing worker on the per-call path (no
-        // cache-hit bump).
+        // This caller's own drain produced the result — accounted as
+        // the computing worker (no cache-hit bump).
         return evals_[it->second];
       }
       {
@@ -676,10 +439,6 @@ std::vector<DesignEval> DesignEvaluator::evaluate_batch(
     const std::vector<ct::CompressorTree>& trees) {
   std::vector<DesignEval> out;
   out.reserve(trees.size());
-  if (batch_ <= 1) {
-    for (const auto& tree : trees) out.push_back(evaluate(tree));
-    return out;
-  }
   std::vector<std::string> keys;
   keys.reserve(trees.size());
   for (const auto& tree : trees) keys.push_back(tree.key());
@@ -737,67 +496,12 @@ std::vector<DesignEval> DesignEvaluator::evaluate_batch(
 }
 
 std::vector<DesignEval> DesignEvaluator::evaluate_batch(
-    const std::vector<ct::CompressorTree>& trees,
-    const std::vector<ParentHint>& hints) {
-  // Hints only matter on the per-call path; batched dispatches draw
-  // their speed from SoA lane packing instead.
-  if (batch_ > 1 || hints.empty()) return evaluate_batch(trees);
-  std::vector<DesignEval> out;
-  out.reserve(trees.size());
-  for (std::size_t i = 0; i < trees.size(); ++i) {
-    out.push_back(
-        evaluate(trees[i], i < hints.size() ? hints[i] : ParentHint{}));
-  }
-  return out;
-}
-
-std::vector<DesignEval> DesignEvaluator::evaluate_batch(
-    const std::vector<ppg::DesignPoint>& points) {
-  // Plain points coalesce through the tree batch path (one bulk call
-  // keeps the SoA batching effective); extended points evaluate per
-  // call. Results come back in input order either way.
-  std::vector<ct::CompressorTree> plain_trees;
-  std::vector<std::size_t> plain_pos;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (points[i].ppg == spec_.ppg && !points[i].cpa_pinned()) {
-      plain_trees.push_back(points[i].tree);
-      plain_pos.push_back(i);
-    }
-  }
-  std::vector<DesignEval> out(points.size());
-  const std::vector<DesignEval> plain = evaluate_batch(plain_trees);
-  for (std::size_t j = 0; j < plain_pos.size(); ++j) {
-    out[plain_pos[j]] = plain[j];
-  }
-  std::size_t next_plain = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (next_plain < plain_pos.size() && plain_pos[next_plain] == i) {
-      ++next_plain;
-      continue;
-    }
-    out[i] = evaluate_point_uncoalesced(points[i], points[i].key(spec_));
-  }
-  return out;
-}
-
-std::vector<DesignEval> DesignEvaluator::evaluate_batch(
     const std::vector<ppg::DesignPoint>& points,
     const std::vector<ParentHint>& hints) {
-  if (hints.empty()) return evaluate_batch(points);
-  auto hint_at = [&](std::size_t i) {
-    return i < hints.size() ? hints[i] : ParentHint{};
-  };
-  if (batch_ <= 1) {
-    std::vector<DesignEval> out;
-    out.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      out.push_back(evaluate(points[i], hint_at(i)));
-    }
-    return out;
-  }
-  // Batching on: plain points coalesce through the tree batch (their
-  // hints are moot there), extended points still use theirs — they
-  // always run per call.
+  // Plain points coalesce through one tree batch (one bulk call keeps
+  // the SoA batching effective; their hints are moot there); extended
+  // points then evaluate per call with their hints. Results come back
+  // in input order either way.
   std::vector<ct::CompressorTree> plain_trees;
   std::vector<std::size_t> plain_pos;
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -817,8 +521,8 @@ std::vector<DesignEval> DesignEvaluator::evaluate_batch(
       ++next_plain;
       continue;
     }
-    out[i] =
-        evaluate_point_uncoalesced(points[i], points[i].key(spec_), hint_at(i));
+    out[i] = evaluate_extended(points[i], points[i].key(spec_),
+                               i < hints.size() ? hints[i] : ParentHint{});
   }
   return out;
 }

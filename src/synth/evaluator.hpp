@@ -13,10 +13,17 @@
 // one evaluator, and concurrent requests for the same tree are
 // deduplicated — one worker synthesizes, the rest wait on the result.
 //
-// The fast path prepares each design once (PPG + compressor-tree
-// prefix shared across CPA variants), sizes with incremental STA, and
-// fans the per-target synthesis out to a thread pool. Results are
-// bit-identical to the serial legacy pipeline (RLMUL_FASTPATH=0).
+// A design takes one of two routes, chosen by the design alone:
+//  * plain designs (a tree, or a point with the spec's PPG family and
+//    no pinned CPA) coalesce into the batched SoA pipeline
+//    (BatchEvaluator + sta::BatchTimer), its delay targets sized as
+//    lanes of one sweep per CPA architecture;
+//  * extended points (a PPG toggle or a pinned CPA) run per call in
+//    delta mode: a retained parent named by a ParentHint lets the
+//    design rebuild only the changed cone and warm-start its timing,
+//    and the targets fan out to a thread pool.
+// Both are bit-identical per double to the reference pipelines
+// (synthesize_design / synthesize_design_legacy).
 
 #include <chrono>
 #include <cstddef>
@@ -91,14 +98,6 @@ struct EvaluatorOptions {
   /// design.
   bool verify_functionality = false;
   std::uint64_t verify_vectors = 2048;
-  /// Prepared-design synthesis with incremental STA. The environment
-  /// variable RLMUL_FASTPATH=0 forces the legacy pipeline regardless
-  /// (the A/B switch the benches compare against).
-  bool fast_path = true;
-  /// Evaluate the per-target constraints concurrently on the pool.
-  /// Results are gathered in target order, so they are bit-identical
-  /// to a serial evaluation.
-  bool parallel_targets = true;
   /// >0: this evaluator owns a private pool of that many workers.
   /// 0: use the process-wide shared pool (RLMUL_SYNTH_THREADS).
   int synth_threads = 0;
@@ -106,25 +105,16 @@ struct EvaluatorOptions {
   /// served from it do NOT count as unique evaluations — the search
   /// budget is charged only for synthesis actually run.
   EvalCache* external_cache = nullptr;
-  /// Maximum designs coalesced into one batched dispatch. Concurrent
-  /// evaluate() calls enqueue their trees; the first caller to find no
-  /// drain in progress pulls up to this many pending designs and runs
-  /// them through the batched SoA pipeline (per-design results stay
-  /// bit-identical to the single path). 1 disables batching and keeps
-  /// the per-call path. The environment variable RLMUL_BATCH_EVAL
-  /// overrides this (0 or 1 = off, N>1 = batch size) — the A/B switch
-  /// the benches compare against.
-  int batch = 16;
 };
 
 class BatchEvaluator;
 
 /// Caller-supplied search-trajectory context for delta evaluation: the
-/// evaluation key (tree.key() / point.key(spec)) of the design the new
-/// one was derived from by a single move. An empty key means "no
-/// parent" (scratch evaluation). Purely an optimization hint — results
-/// are bit-identical with or without it, and a hint whose parent state
-/// was evicted or is incompatible just falls back to a scratch build
+/// evaluation key (point.key(spec)) of the design the new one was
+/// derived from by a single move. An empty key means "no parent"
+/// (scratch evaluation). Purely an optimization hint — results are
+/// bit-identical with or without it, and a hint whose parent state was
+/// evicted or is incompatible just falls back to a scratch build
 /// (counted in eval_delta_fallbacks).
 struct ParentHint {
   std::string key;
@@ -132,7 +122,9 @@ struct ParentHint {
 
 class DesignEvaluator {
  public:
-  /// Empty `targets` selects default_targets(spec).
+  /// Empty `targets` selects default_targets(spec). Throws
+  /// std::invalid_argument for more targets than the batched pipeline
+  /// has lanes (sta::BatchTimer::kMaxLanes).
   explicit DesignEvaluator(ppg::MultiplierSpec spec,
                            std::vector<double> targets = {},
                            const EvaluatorOptions& opts = {});
@@ -140,32 +132,21 @@ class DesignEvaluator {
 
   const ppg::MultiplierSpec& spec() const { return spec_; }
   const std::vector<double>& targets() const { return targets_; }
-  /// Resolved batch size (EvaluatorOptions::batch after the
-  /// RLMUL_BATCH_EVAL override); 1 = batching off.
-  int batch() const { return batch_; }
 
-  /// Synthesizes (or returns the cached result for) a tree. With
-  /// batching on, concurrent calls coalesce: the tree joins the
-  /// pending queue and either this caller drains a batch or it waits
-  /// for the drain that covers it.
-  ///
-  /// `hint` names the design this one is a single move away from. On
-  /// the per-call path (batching off, or extended points) a retained
-  /// parent state lets synthesis rebuild only the changed cone and
-  /// warm-start timing — bit-identical results, much less work. The
-  /// batched SoA pipeline ignores hints (its throughput comes from
-  /// lane packing, and its designs are typically unrelated).
-  /// RLMUL_DELTA_EVAL=0 disables delta evaluation entirely (today's
-  /// pipeline, byte for byte); RLMUL_DELTA_PARENTS caps the retained
-  /// parent LRU (default 16).
-  DesignEval evaluate(const ct::CompressorTree& tree,
-                      const ParentHint& hint = {});
+  /// Synthesizes (or returns the cached result for) a tree. Concurrent
+  /// calls coalesce: the tree joins the pending queue and either this
+  /// caller drains a batch or it waits for the drain that covers it.
+  DesignEval evaluate(const ct::CompressorTree& tree);
 
   /// Evaluates a full design point. A plain point (spec's PPG family,
   /// no pinned CPA) routes through evaluate(tree) — same keys, same
-  /// batching, bit-identical results. PPG-toggled or CPA-pinned points
-  /// use the per-call path under an extended cache key; `point.tree`
-  /// must have been built against point.resolved_spec(spec()).
+  /// batching, bit-identical results — and ignores `hint`. An extended
+  /// point (PPG toggle or pinned CPA) runs per call under an extended
+  /// cache key; `hint` names the evaluated design it is one move away
+  /// from, whose retained state lets synthesis rebuild only the
+  /// changed cone (the parent LRU keeps the last 16 extended designs).
+  /// `point.tree` must have been built against
+  /// point.resolved_spec(spec()).
   DesignEval evaluate(const ppg::DesignPoint& point,
                       const ParentHint& hint = {});
 
@@ -177,27 +158,13 @@ class DesignEvaluator {
   std::vector<DesignEval> evaluate_batch(
       const std::vector<ct::CompressorTree>& trees);
 
-  /// Bulk entry with per-design parent hints (`hints` empty or sized
-  /// like `trees`; missing/empty entries mean no parent). Hints only
-  /// take effect when batching is off — see evaluate().
-  std::vector<DesignEval> evaluate_batch(
-      const std::vector<ct::CompressorTree>& trees,
-      const std::vector<ParentHint>& hints);
-
   /// Point-wise bulk entry: plain points coalesce through the tree
-  /// batch path; extended points evaluate per call.
-  std::vector<DesignEval> evaluate_batch(
-      const std::vector<ppg::DesignPoint>& points);
-
-  /// Point-wise bulk entry with parent hints; extended points use
-  /// their hint even when tree batching is on (they never coalesce).
+  /// batch, then extended points evaluate per call in input order,
+  /// each with its hint (`hints` empty or sized like `points`; missing
+  /// or empty entries mean no parent).
   std::vector<DesignEval> evaluate_batch(
       const std::vector<ppg::DesignPoint>& points,
-      const std::vector<ParentHint>& hints);
-
-  /// Whether delta evaluation is active (fast path on and
-  /// RLMUL_DELTA_EVAL != 0).
-  bool delta_eval() const { return delta_; }
+      const std::vector<ParentHint>& hints = {});
 
   /// Weighted, normalized cost: the Wallace-initial design costs
   /// exactly w_area + w_delay, so weights compose across specs.
@@ -250,33 +217,30 @@ class DesignEvaluator {
     std::chrono::steady_clock::time_point since;
   };
 
-  DesignEval compute(const ct::CompressorTree& tree, const std::string& key,
-                     const ParentHint& hint) const;
-  /// compute() generalized to an extended point (PPG toggle and/or
-  /// pinned CPA): prepares the resolved design and walks its menu.
+  /// Most designs one batched dispatch drains.
+  static constexpr int kBatch = 16;
+  /// Sealed parents the delta LRU retains.
+  static constexpr std::size_t kParents = 16;
+
+  /// Synthesizes an extended point in delta mode: prepares the
+  /// resolved design against the hinted parent, runs the targets on
+  /// the pool, then seals the design and retains it in the parent LRU
+  /// under `key`.
   DesignEval compute_point(const ppg::DesignPoint& point,
                            const std::string& key,
                            const ParentHint& hint) const;
-  /// Per-call evaluation of an extended point under `key` — the
-  /// point-typed mirror of the unbatched evaluate(tree) body (same
-  /// in-flight dedup, external-cache and accounting behavior).
-  DesignEval evaluate_point_uncoalesced(const ppg::DesignPoint& point,
-                                        const std::string& key,
-                                        const ParentHint& hint = {});
-  /// Shared tail of the delta-mode compute paths: runs the targets
-  /// over a delta-prepared design, seals it and retains it in the
-  /// parent LRU under `key`, and bumps the hit/fallback counters.
-  DesignEval run_delta(const std::shared_ptr<PreparedDesign>& prep,
-                       const ppg::MultiplierSpec& resolved,
-                       const std::string& key, const ParentHint& hint) const;
+  /// Per-call evaluation of an extended point under `key`: in-flight
+  /// dedup, external cache, compute_point and accounting.
+  DesignEval evaluate_extended(const ppg::DesignPoint& point,
+                               const std::string& key,
+                               const ParentHint& hint);
   /// Parent LRU (delta evaluation): sealed prepared designs of recent
   /// evaluations, keyed by their evaluation key.
   std::shared_ptr<const PreparedDesign> parent_get(
       const std::string& key) const;
   void parent_put(const std::string& key,
                   std::shared_ptr<const PreparedDesign> prep) const;
-  DesignEval evaluate_batched(const ct::CompressorTree& tree);
-  /// Pulls up to batch_ pending designs (my_key first), runs them as
+  /// Pulls up to kBatch pending designs (my_key first), runs them as
   /// one batched dispatch with mu_ released, installs the results and
   /// wakes every waiter. Keys this drain resolved are added to
   /// `resolved` when non-null. Enter with `lock` held and draining_
@@ -296,16 +260,12 @@ class DesignEvaluator {
   ppg::MultiplierSpec spec_;
   std::vector<double> targets_;
   EvaluatorOptions opts_;
-  bool fast_path_ = true;  ///< opts_.fast_path, after RLMUL_FASTPATH
-  int batch_ = 1;          ///< opts_.batch, after RLMUL_BATCH_EVAL
-  bool delta_ = false;     ///< fast_path_ after RLMUL_DELTA_EVAL
-  std::size_t parents_cap_ = 16;  ///< RLMUL_DELTA_PARENTS
   double ref_area_ = 1.0;
   double ref_delay_ = 1.0;
 
   std::unique_ptr<util::ThreadPool> owned_pool_;
   util::ThreadPool* pool_ = nullptr;
-  std::unique_ptr<BatchEvaluator> batch_eval_;  ///< non-null iff batch_ > 1
+  std::unique_ptr<BatchEvaluator> batch_eval_;
 
   mutable util::Mutex mu_;
   util::CondVar cv_;  ///< signals drain/in-flight completion; pairs mu_
@@ -333,9 +293,9 @@ class DesignEvaluator {
   Stats stats_ RLMUL_GUARDED_BY(stats_mu_);
 
   /// Leaf lock for the delta-parent LRU (same rank as stats_mu_: never
-  /// taken with another lock held inside, and compute() runs outside
-  /// mu_). Values are sealed immutable PreparedDesigns, so readers
-  /// share them freely once the shared_ptr is out.
+  /// taken with another lock held inside, and compute_point() runs
+  /// outside mu_). Values are sealed immutable PreparedDesigns, so
+  /// readers share them freely once the shared_ptr is out.
   struct ParentSlot {
     std::shared_ptr<const PreparedDesign> prep;
     std::uint64_t tick = 0;

@@ -10,17 +10,6 @@ using netlist::CellLibrary;
 using netlist::CpaKind;
 using netlist::Netlist;
 
-namespace {
-
-std::size_t cpa_index(CpaKind cpa) {
-  for (std::size_t i = 0; i < std::size(netlist::kAllCpaKinds); ++i) {
-    if (netlist::kAllCpaKinds[i] == cpa) return i;
-  }
-  return 0;  // unreachable: kAllCpaKinds enumerates every kind
-}
-
-}  // namespace
-
 PreparedDesign::PreparedDesign(const ppg::MultiplierSpec& spec,
                                const ct::CompressorTree& tree)
     : spec_(spec), prefix_(ppg::build_multiplier_prefix(spec, tree)) {
@@ -58,10 +47,6 @@ const PreparedDesign::CpaEntry& PreparedDesign::entry(std::size_t idx) const {
 
 CpaKind PreparedDesign::cpa_at(std::size_t idx) const {
   return pinned_ ? pinned_label_ : netlist::kAllCpaKinds[idx];
-}
-
-const Netlist& PreparedDesign::netlist(CpaKind cpa) const {
-  return entry(pinned_ ? 0 : cpa_index(cpa)).netlist;
 }
 
 const Netlist& PreparedDesign::netlist_at(std::size_t idx) const {

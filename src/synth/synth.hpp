@@ -141,8 +141,8 @@ SynthesisResult synthesize_design(const ppg::MultiplierSpec& spec,
 
 /// Reference implementation of synthesize_design: rebuilds the full
 /// netlist per CPA and runs one full sta::analyze per sizing pass.
-/// Kept as the slow cross-check the fast-path tests compare against
-/// (and the RLMUL_FASTPATH=0 A/B baseline).
+/// Kept as the slow oracle the evaluator's tests and the end-to-end
+/// benchmark's per-double check compare against.
 SynthesisResult synthesize_design_legacy(const ppg::MultiplierSpec& spec,
                                          const ct::CompressorTree& tree,
                                          double target_delay_ns);
@@ -205,11 +205,6 @@ class PreparedDesign {
   /// Same contract (and bit-identical result) as synthesize_design.
   SynthesisResult synthesize(double target_delay_ns) const;
 
-  /// The prepared netlist for one CPA kind (variants at 0); built on
-  /// first use. The evaluator runs its equivalence gate on this.
-  /// Menu designs only; a pinned design exposes netlist_at(0).
-  const netlist::Netlist& netlist(netlist::CpaKind cpa) const;
-
   /// Number of CPA architectures in the full menu (== kAllCpaKinds, in
   /// the same area order synthesize() walks them in) — the static upper
   /// bound menu_size() never exceeds.
@@ -222,9 +217,10 @@ class PreparedDesign {
   /// The reporting label of menu entry `idx` (kAllCpaKinds[idx] for
   /// menu designs, the pinned graph's label at index 0 otherwise).
   netlist::CpaKind cpa_at(std::size_t idx) const;
-  /// Prepared netlist / shared timing structure by menu index; built on
-  /// first use. The batched evaluator walks the same menu in the same
-  /// order, sizing all targets of one architecture per sweep.
+  /// Prepared netlist (variants at 0) / shared timing structure by menu
+  /// index; built on first use. The batched evaluator walks the same
+  /// menu in the same order, sizing all targets of one architecture per
+  /// sweep, and the equivalence gate simulates entry 0.
   const netlist::Netlist& netlist_at(std::size_t idx) const;
   const sta::TimingGraph& graph_at(std::size_t idx) const;
 

@@ -8,7 +8,7 @@ set -u
 
 bench="${1:?usage: smoke_bench_micro.sh <bench_micro>}"
 
-out="$("$bench" --benchmark_filter='BM_EvaluateUniqueDesign/bits:8/fast:1' \
+out="$("$bench" --benchmark_filter='BM_EvaluateUniqueDesign/bits:8' \
         --benchmark_min_time=0.01 2>&1)"
 status=$?
 if [ "$status" -ne 0 ]; then
@@ -120,7 +120,7 @@ echo "PASS: batched evaluation smoke (eval_batches=$batches," \
 # and the delta counters must show children actually patched against
 # retained parents (a hits=0 run means the delta path silently
 # disengaged).
-delta_out="$("$bench" --benchmark_filter='BM_EvaluateDelta/bits:16/delta:1' \
+delta_out="$("$bench" --benchmark_filter='BM_EvaluateDelta/bits:16' \
         --benchmark_min_time=0.01 2>&1)"
 delta_status=$?
 if [ "$delta_status" -ne 0 ]; then

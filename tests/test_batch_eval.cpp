@@ -1,10 +1,10 @@
 // Property tests for the batched SoA evaluation pipeline
 // (src/synth/batch_eval.* + the DesignEvaluator coalescing layer): the
 // contract is that batching is invisible — per-design results are
-// bit-identical to the single path, the EDA budget still counts unique
-// designs only, and dsdb traffic (hits/appends) matches a per-design
-// evaluation of the same trees. The tsan label puts the 8-thread
-// hammer under the TSan CI job.
+// bit-identical to the reference pipeline synthesized one target at a
+// time, the EDA budget still counts unique designs only, and dsdb
+// traffic is one append per unique design. The tsan label puts the
+// 8-thread hammer under the TSan CI job.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "ct/compressor_tree.hpp"
 #include "dsdb/store.hpp"
 #include "ppg/ppg.hpp"
+#include "prefix/prefix_graph.hpp"
+#include "sta/batch_sweep.hpp"
 #include "synth/evaluator.hpp"
 #include "synth/synth.hpp"
 #include "util/rng.hpp"
@@ -61,6 +64,24 @@ void expect_same_eval(const synth::DesignEval& a, const synth::DesignEval& b,
   EXPECT_TRUE(bits_equal(a.sum_power, b.sum_power)) << what;
 }
 
+/// The reference evaluation of a tree: the legacy rebuild-everything
+/// pipeline, one target at a time, summed in target order exactly as
+/// the evaluator sums.
+synth::DesignEval oracle_eval(const MultiplierSpec& spec,
+                              const ct::CompressorTree& tree,
+                              const std::vector<double>& targets) {
+  synth::DesignEval eval;
+  for (double t : targets) {
+    const synth::SynthesisResult res =
+        synth::synthesize_design_legacy(spec, tree, t);
+    eval.sum_area += res.area_um2;
+    eval.sum_delay += res.delay_ns;
+    eval.sum_power += res.power_mw;
+    eval.per_target.push_back(res);
+  }
+  return eval;
+}
+
 /// Designs along a masked random walk from Wallace — consecutive
 /// entries differ by one action (the near-duplicate case: shared
 /// structure, different key).
@@ -85,7 +106,7 @@ std::vector<ct::CompressorTree> walk_designs(const MultiplierSpec& spec,
 // Random specs and widths, random batch compositions K <= 16 sampled
 // with replacement (duplicates within one batch) from a walk pool
 // (near-duplicates across entries): every batched result must be
-// bit-identical to a single-path evaluation of the same tree.
+// bit-identical to the reference pipeline on the same tree.
 TEST(BatchEval, MatchesSinglePathBitExact) {
   const std::vector<MultiplierSpec> specs{
       {4, PpgKind::kAnd, false},
@@ -96,15 +117,11 @@ TEST(BatchEval, MatchesSinglePathBitExact) {
   for (const auto& spec : specs) {
     const auto pool = walk_designs(spec, 10, 11 + spec.bits);
 
-    synth::EvaluatorOptions sopts;
-    sopts.batch = 1;
-    synth::DesignEvaluator single(spec, {}, sopts);
+    synth::DesignEvaluator batched(spec);
     std::vector<synth::DesignEval> expected;
-    for (const auto& d : pool) expected.push_back(single.evaluate(d));
-
-    synth::EvaluatorOptions bopts;
-    bopts.batch = 16;
-    synth::DesignEvaluator batched(spec, {}, bopts);
+    for (const auto& d : pool) {
+      expected.push_back(oracle_eval(spec, d, batched.targets()));
+    }
     for (int round = 0; round < 3; ++round) {
       const int k = 1 + static_cast<int>(rng.next() % 16);
       std::vector<ct::CompressorTree> group;
@@ -133,9 +150,7 @@ TEST(BatchEval, BudgetCountsUniqueDesignsOnly) {
   const MultiplierSpec spec{4, PpgKind::kAnd, false};
   const auto pool = walk_designs(spec, 5, 21);
 
-  synth::EvaluatorOptions opts;
-  opts.batch = 16;
-  synth::DesignEvaluator evaluator(spec, {}, opts);
+  synth::DesignEvaluator evaluator(spec);
 
   // 12 requests over 5 unique designs, duplicates included.
   std::vector<ct::CompressorTree> group;
@@ -153,9 +168,9 @@ TEST(BatchEval, BudgetCountsUniqueDesignsOnly) {
   EXPECT_GE(stats.eval_batched_designs, stats.unique_evals);
 }
 
-// dsdb traffic parity: a batched cold run appends exactly the records
-// a single-path cold run of the same designs appends, and a warm rerun
-// is served entirely from the store (zero new synthesis).
+// dsdb traffic: a batched cold run appends exactly one record per
+// unique design, and a warm rerun is served entirely from the store
+// (zero new synthesis).
 TEST(BatchEval, DsdbHitAndAppendParity) {
   const MultiplierSpec spec{4, PpgKind::kAnd, false};
   const std::vector<double> targets = synth::default_targets(spec);
@@ -175,26 +190,15 @@ TEST(BatchEval, DsdbHitAndAppendParity) {
     dsdb::Store store(root + "/batched");
     dsdb::EvaluatorBinding binding(store, spec, targets);
     synth::EvaluatorOptions opts;
-    opts.batch = 16;
     opts.external_cache = &binding;
     synth::DesignEvaluator evaluator(spec, targets, opts);
     evaluator.evaluate_batch(pool);
     store.flush();
     batched_appends = store.stats().appends;
   }
-  std::uint64_t single_appends = 0;
-  {
-    dsdb::Store store(root + "/single");
-    dsdb::EvaluatorBinding binding(store, spec, targets);
-    synth::EvaluatorOptions opts;
-    opts.batch = 1;
-    opts.external_cache = &binding;
-    synth::DesignEvaluator evaluator(spec, targets, opts);
-    for (const auto& d : pool) evaluator.evaluate(d);
-    store.flush();
-    single_appends = store.stats().appends;
-  }
-  EXPECT_EQ(batched_appends, single_appends);
+  // The pool holds Wallace itself, so the constructor's reference
+  // evaluation is one of the unique keys, appended once.
+  ASSERT_EQ(pool.front().key(), ppg::initial_tree(spec).key());
   EXPECT_EQ(batched_appends, keys.size());
 
   // Warm rerun against the batched store: every design is a store hit,
@@ -203,7 +207,6 @@ TEST(BatchEval, DsdbHitAndAppendParity) {
     dsdb::Store store(root + "/batched");
     dsdb::EvaluatorBinding binding(store, spec, targets);
     synth::EvaluatorOptions opts;
-    opts.batch = 16;
     opts.external_cache = &binding;
     synth::DesignEvaluator evaluator(spec, targets, opts);
     evaluator.evaluate_batch(pool);
@@ -216,21 +219,18 @@ TEST(BatchEval, DsdbHitAndAppendParity) {
 
 // 8 threads hammering one shared evaluator with overlapping
 // evaluate_batch() and evaluate() calls: results must stay
-// bit-identical to the single path at any thread count, and every
-// request must complete (no lost wakeups in the coalescing protocol).
+// bit-identical to the reference pipeline at any thread count, and
+// every request must complete (no lost wakeups in the coalescing
+// protocol).
 TEST(BatchEval, ConcurrentBatchesMatchSinglePath) {
   const MultiplierSpec spec{4, PpgKind::kAnd, false};
   const auto pool = walk_designs(spec, 8, 41);
 
-  synth::EvaluatorOptions sopts;
-  sopts.batch = 1;
-  synth::DesignEvaluator single(spec, {}, sopts);
+  synth::DesignEvaluator shared(spec);
   std::vector<synth::DesignEval> expected;
-  for (const auto& d : pool) expected.push_back(single.evaluate(d));
-
-  synth::EvaluatorOptions bopts;
-  bopts.batch = 8;
-  synth::DesignEvaluator shared(spec, {}, bopts);
+  for (const auto& d : pool) {
+    expected.push_back(oracle_eval(spec, d, shared.targets()));
+  }
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> workers;
@@ -270,6 +270,56 @@ TEST(BatchEval, ConcurrentBatchesMatchSinglePath) {
 
   const auto stats = shared.stats();
   EXPECT_EQ(stats.unique_evals, pool.size());
+}
+
+// Every target is one lane of the batched sweep, so a target vector
+// longer than sta::BatchTimer::kMaxLanes is rejected up front; one
+// that exactly fills the lanes evaluates normally.
+TEST(BatchEval, RejectsMoreTargetsThanLanes) {
+  const MultiplierSpec spec{4, PpgKind::kAnd, false};
+  const std::vector<double> base = synth::default_targets(spec);
+  std::vector<double> full;
+  for (int i = 0; i < sta::BatchTimer::kMaxLanes; ++i) {
+    full.push_back(base[static_cast<std::size_t>(i) % base.size()] +
+                   0.001 * i);
+  }
+  synth::DesignEvaluator fits(spec, full);
+  EXPECT_EQ(fits.targets().size(), full.size());
+  const ct::CompressorTree wallace = ppg::initial_tree(spec);
+  expect_same_eval(fits.evaluate(wallace), oracle_eval(spec, wallace, full),
+                   "32 lanes");
+
+  std::vector<double> over = full;
+  over.push_back(base.back());
+  EXPECT_THROW(synth::DesignEvaluator(spec, over), std::invalid_argument);
+}
+
+// The equivalence gate runs on both routes: a plain tree (batched), a
+// PPG-toggled point and a CPA-pinned point (per-call delta). A correct
+// design passes the gate, and the gate never changes a reported
+// number: each result equals the gate-off evaluator's per double.
+TEST(BatchEval, EquivalenceGateOnBothRoutes) {
+  const MultiplierSpec spec{6, PpgKind::kAnd, false};
+  const std::vector<double> targets = synth::default_targets(spec);
+  synth::EvaluatorOptions gated;
+  gated.verify_functionality = true;
+  synth::DesignEvaluator on(spec, targets, gated);
+  synth::DesignEvaluator off(spec, targets);
+
+  const ct::CompressorTree tree = walk_designs(spec, 4, 51).back();
+  ppg::DesignPoint toggled;
+  toggled.ppg = PpgKind::kBooth;
+  toggled.tree = ppg::retarget_tree(tree, toggled.resolved_spec(spec));
+  ppg::DesignPoint pinned;
+  pinned.ppg = spec.ppg;
+  pinned.tree = tree;
+  pinned.cpa = prefix::sklansky(spec.columns());
+
+  expect_same_eval(on.evaluate(tree), off.evaluate(tree), "plain tree");
+  expect_same_eval(on.evaluate(toggled), off.evaluate(toggled),
+                   "PPG-toggled point");
+  expect_same_eval(on.evaluate(pinned), off.evaluate(pinned),
+                   "CPA-pinned point");
 }
 
 }  // namespace

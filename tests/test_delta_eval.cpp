@@ -2,17 +2,19 @@
 // warm-start): the standing repo contract is that every optimized
 // path is bit-identical per double to the from-scratch pipeline. These
 // tests walk randomized move sequences through PreparedDesign's delta
-// mode and the evaluator's ParentHint path and compare every
-// SynthesisResult field bitwise against scratch builds, across PPG
-// families, all four menu CPAs (as menu sweeps and as pinned graphs),
-// and off-menu prefix graphs. The concurrency test hammers one
-// retained parent with parallel children (run under `ctest -L tsan`).
+// mode and the evaluator's ParentHint route (CPA-pinned points) and
+// compare every SynthesisResult field bitwise against scratch builds
+// and the synthesize_design oracle, across PPG families, all four menu
+// CPAs (as menu sweeps and as pinned graphs), and off-menu prefix
+// graphs. The concurrency test hammers one retained parent with
+// parallel children (run under `ctest -L tsan`).
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -96,6 +98,38 @@ void ExpectDeltaMatchesScratch(const ppg::MultiplierSpec& spec,
   }
 }
 
+/// Pins `graph` onto every tree of `walk`: a chain of extended points,
+/// each one tree move off the previous.
+std::vector<ppg::DesignPoint> PinnedPoints(
+    const ppg::MultiplierSpec& spec,
+    const std::vector<ct::CompressorTree>& walk,
+    const prefix::PrefixGraph& graph) {
+  std::vector<ppg::DesignPoint> points;
+  for (const ct::CompressorTree& tree : walk) {
+    ppg::DesignPoint p;
+    p.ppg = spec.ppg;
+    p.tree = tree;
+    p.cpa = graph;
+    points.push_back(std::move(p));
+  }
+  return points;
+}
+
+/// Compares an evaluator result per double against the oracle: one
+/// synthesize_design call per target.
+void ExpectMatchesOracle(const ppg::MultiplierSpec& spec,
+                         const ppg::DesignPoint& point,
+                         const std::vector<double>& targets,
+                         const synth::DesignEval& got,
+                         const std::string& what) {
+  ASSERT_EQ(got.per_target.size(), targets.size()) << what;
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    EXPECT_TRUE(SameResult(got.per_target[t],
+                           synth::synthesize_design(spec, point, targets[t])))
+        << what << " target " << t;
+  }
+}
+
 prefix::PrefixGraph OffMenuGraph(int width, int seed_bit) {
   prefix::Matrix m = prefix::matrix_of(prefix::sklansky(width));
   prefix::Move mv;
@@ -175,93 +209,83 @@ TEST(DeltaEval, DiffGraphsDetectsIdenticalAndChanged) {
 
 TEST(DeltaEval, EvaluatorHintsMatchScratchAndCount) {
   const ppg::MultiplierSpec spec{8, ppg::PpgKind::kAnd, false};
-  std::vector<ct::CompressorTree> walk = RandomWalk(spec, 8, 0xCAFE);
+  const std::vector<ct::CompressorTree> walk = RandomWalk(spec, 8, 0xCAFE);
   ASSERT_FALSE(walk.empty());
   const std::vector<double> targets(std::begin(kTargets), std::end(kTargets));
-
-  setenv("RLMUL_BATCH_EVAL", "0", 1);
-  setenv("RLMUL_DELTA_EVAL", "1", 1);
-  synth::DesignEvaluator on(spec, targets);
-  ASSERT_TRUE(on.delta_eval());
-  setenv("RLMUL_DELTA_EVAL", "0", 1);
-  synth::DesignEvaluator off(spec, targets);
-  ASSERT_FALSE(off.delta_eval());
+  const std::vector<ppg::DesignPoint> points =
+      PinnedPoints(spec, walk, prefix::sklansky(spec.columns()));
+  synth::DesignEvaluator evaluator(spec, targets);
 
   auto& counters = util::perf_counters();
   const std::uint64_t hits0 = counters.eval_delta_hits.load();
-  for (std::size_t s = 0; s < walk.size(); ++s) {
+  for (std::size_t s = 0; s < points.size(); ++s) {
     synth::ParentHint hint;
-    if (s > 0) hint.key = walk[s - 1].key();
-    const synth::DesignEval a = on.evaluate(walk[s], hint);
-    const synth::DesignEval b = off.evaluate(walk[s]);
-    ASSERT_EQ(a.per_target.size(), b.per_target.size());
-    for (std::size_t t = 0; t < a.per_target.size(); ++t) {
-      EXPECT_TRUE(SameResult(a.per_target[t], b.per_target[t]))
-          << "step " << s << " target " << t;
-    }
+    if (s > 0) hint.key = points[s - 1].key(spec);
+    ExpectMatchesOracle(spec, points[s], targets,
+                        evaluator.evaluate(points[s], hint),
+                        "step " + std::to_string(s));
   }
   // Every hinted step found its parent retained in the LRU.
-  EXPECT_GE(counters.eval_delta_hits.load() - hits0, walk.size() - 1);
+  EXPECT_GE(counters.eval_delta_hits.load() - hits0, points.size() - 1);
 
   // A hint whose parent was never retained falls back to scratch —
   // same numbers, fallback counter bumped.
   const std::uint64_t fb0 = counters.eval_delta_fallbacks.load();
-  std::vector<ct::CompressorTree> other = RandomWalk(spec, 6, 0x5EED);
-  const synth::DesignEval a =
-      on.evaluate(other.back(), synth::ParentHint{"no-such-parent"});
-  const synth::DesignEval b = off.evaluate(other.back());
-  ASSERT_EQ(a.per_target.size(), b.per_target.size());
-  for (std::size_t t = 0; t < a.per_target.size(); ++t) {
-    EXPECT_TRUE(SameResult(a.per_target[t], b.per_target[t]));
-  }
+  const ppg::DesignPoint other =
+      PinnedPoints(spec, RandomWalk(spec, 6, 0x5EED),
+                   prefix::sklansky(spec.columns()))
+          .back();
+  ExpectMatchesOracle(
+      spec, other, targets,
+      evaluator.evaluate(other, synth::ParentHint{"no-such-parent"}),
+      "unretained parent");
   EXPECT_GE(counters.eval_delta_fallbacks.load() - fb0, 1u);
-  unsetenv("RLMUL_BATCH_EVAL");
-  unsetenv("RLMUL_DELTA_EVAL");
 }
 
 // Several workers evaluate distinct children of the same retained
 // parent concurrently: children only read the sealed parent's
 // immutable state, so this must be race-free (TSan) and every result
-// bit-identical to scratch.
+// bit-identical to the oracle.
 TEST(DeltaEval, ConcurrentChildrenOfSharedParent) {
   const ppg::MultiplierSpec spec{8, ppg::PpgKind::kAnd, false};
   const std::vector<double> targets(std::begin(kTargets), std::end(kTargets));
-  setenv("RLMUL_BATCH_EVAL", "0", 1);
-  setenv("RLMUL_DELTA_EVAL", "1", 1);
-  synth::DesignEvaluator on(spec, targets);
-  setenv("RLMUL_DELTA_EVAL", "0", 1);
-  synth::DesignEvaluator off(spec, targets);
+  synth::DesignEvaluator evaluator(spec, targets);
 
-  const ct::CompressorTree parent = ppg::initial_tree(spec);
-  on.evaluate(parent);  // retained in the parent LRU
-  const auto mask = ct::legal_action_mask(parent);
-  std::vector<ct::CompressorTree> children;
+  const ppg::DesignPoint parent =
+      PinnedPoints(spec, {ppg::initial_tree(spec)},
+                   prefix::brent_kung(spec.columns()))
+          .front();
+  evaluator.evaluate(parent);  // retained in the parent LRU
+  const auto mask = ct::legal_action_mask(parent.tree);
+  std::vector<ppg::DesignPoint> children;
+  std::set<std::string> keys{parent.key(spec)};
   for (int k = 0; k < static_cast<int>(mask.size()) && children.size() < 4;
        ++k) {
-    if (mask[k]) {
-      children.push_back(ct::apply_action(parent, ct::action_from_index(k)));
+    if (!mask[k]) continue;
+    ppg::DesignPoint child = parent;
+    child.tree = ct::apply_action(parent.tree, ct::action_from_index(k));
+    if (keys.insert(child.key(spec)).second) {
+      children.push_back(std::move(child));
     }
   }
   ASSERT_EQ(children.size(), 4u);
 
+  auto& counters = util::perf_counters();
+  const std::uint64_t hits0 = counters.eval_delta_hits.load();
   std::vector<synth::DesignEval> got(children.size());
   std::vector<std::thread> workers;
   for (std::size_t i = 0; i < children.size(); ++i) {
     workers.emplace_back([&, i] {
-      got[i] = on.evaluate(children[i], synth::ParentHint{parent.key()});
+      got[i] = evaluator.evaluate(children[i],
+                                  synth::ParentHint{parent.key(spec)});
     });
   }
   for (auto& w : workers) w.join();
+  EXPECT_EQ(counters.eval_delta_hits.load() - hits0, children.size());
   for (std::size_t i = 0; i < children.size(); ++i) {
-    const synth::DesignEval ref = off.evaluate(children[i]);
-    ASSERT_EQ(got[i].per_target.size(), ref.per_target.size());
-    for (std::size_t t = 0; t < ref.per_target.size(); ++t) {
-      EXPECT_TRUE(SameResult(got[i].per_target[t], ref.per_target[t]))
-          << "child " << i << " target " << t;
-    }
+    ExpectMatchesOracle(spec, children[i], targets, got[i],
+                        "child " + std::to_string(i));
   }
-  unsetenv("RLMUL_BATCH_EVAL");
-  unsetenv("RLMUL_DELTA_EVAL");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "ct/compressor_tree.hpp"
 #include "ppg/ppg.hpp"
+#include "prefix/prefix_graph.hpp"
 #include "sta/sta.hpp"
 #include "synth/evaluator.hpp"
 #include "synth/synth.hpp"
@@ -150,25 +151,24 @@ TEST(PreparedDesign, SynthesisBitIdenticalToLegacyPipeline) {
   }
 }
 
+// Pool size never changes a result: an evaluator on one synthesis
+// thread and one on four agree per double on plain trees (batched
+// drains) and on CPA-pinned points (per-target fan-out of the delta
+// route).
 TEST(ParallelEvaluation, BitIdenticalToSerialEvaluation) {
   const MultiplierSpec spec{8, PpgKind::kAnd, false};
   const std::vector<double> targets = {0.2, 0.5, 0.9, 2.0};
 
   synth::EvaluatorOptions serial_opts;
-  serial_opts.parallel_targets = false;
   serial_opts.synth_threads = 1;
   synth::DesignEvaluator serial(spec, targets, serial_opts);
 
   synth::EvaluatorOptions parallel_opts;
-  parallel_opts.parallel_targets = true;
   parallel_opts.synth_threads = 4;
   synth::DesignEvaluator parallel(spec, targets, parallel_opts);
 
-  util::Rng rng(7004);
-  for (int trial = 0; trial < 4; ++trial) {
-    const auto tree = random_tree(spec, 1 + trial, rng);
-    const auto a = serial.evaluate(tree);
-    const auto b = parallel.evaluate(tree);
+  auto expect_same = [](const synth::DesignEval& a,
+                        const synth::DesignEval& b) {
     EXPECT_EQ(a.sum_area, b.sum_area);
     EXPECT_EQ(a.sum_delay, b.sum_delay);
     EXPECT_EQ(a.sum_power, b.sum_power);
@@ -179,6 +179,17 @@ TEST(ParallelEvaluation, BitIdenticalToSerialEvaluation) {
       EXPECT_EQ(a.per_target[i].power_mw, b.per_target[i].power_mw);
       EXPECT_EQ(a.per_target[i].cpa, b.per_target[i].cpa);
     }
+  };
+
+  util::Rng rng(7004);
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto tree = random_tree(spec, 1 + trial, rng);
+    expect_same(serial.evaluate(tree), parallel.evaluate(tree));
+    ppg::DesignPoint pinned;
+    pinned.ppg = spec.ppg;
+    pinned.tree = tree;
+    pinned.cpa = prefix::kogge_stone(spec.columns());
+    expect_same(serial.evaluate(pinned), parallel.evaluate(pinned));
   }
 }
 

@@ -55,6 +55,15 @@ Rules (each failure prints `file:line: [rule] message`):
                      netlist is immutable once built — search and RL
                      code expresses structure sharing through
                      synth::ParentHint, never by patching gates itself.
+  env-read           environment reads (getenv, util::env_long,
+                     util::env_double) in src/ happen only in the
+                     allowlisted modules: util/config (the readers
+                     themselves), util/thread_pool (RLMUL_SYNTH_THREADS),
+                     util/csv (RLMUL_OUT) and nt/gemm (RLMUL_GEMM*). A
+                     production layer chooses its behavior from its
+                     inputs, so an A/B switch cannot land in one
+                     silently. `--self-test` proves the rule rejects a
+                     read outside the allowlist.
   header-standalone  every public header under src/*/ compiles as its
                      own translation unit (include-what-you-use at the
                      API boundary). Needs --compiler; skipped with a
@@ -391,6 +400,51 @@ def check_fuzz_registration(root):
                  "(fuzz/gen_corpus.cpp generates them)")
 
 
+# -- env-read -----------------------------------------------------------------
+
+ENV_READ_RE = re.compile(r"\b(getenv|env_long|env_double)\s*\(")
+ENV_READ_ALLOWED = ("src/util/config.", "src/util/thread_pool.cpp",
+                    "src/util/csv.cpp", "src/nt/gemm.cpp")
+
+
+def check_env_read(root):
+    for p in source_files(root):
+        r = rel(root, p)
+        if r.startswith(ENV_READ_ALLOWED):
+            continue
+        for i, line in enumerate(p.read_text().splitlines(), 1):
+            code = strip_comments_and_strings(line)
+            m = ENV_READ_RE.search(code)
+            if m:
+                fail(r, i, "env-read",
+                     f"environment read `{m.group(1)}` outside the "
+                     "allowlist (util/config, util/thread_pool, util/csv, "
+                     "nt/gemm); take the setting as an explicit option")
+
+
+def self_test():
+    """Negative and positive cases for env-read on a scratch tree."""
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "src/synth").mkdir(parents=True)
+        (root / "src/util").mkdir(parents=True)
+        (root / "src/synth/evaluator.cpp").write_text(
+            'const long b = util::env_long("RLMUL_SWITCH", 1);\n'
+            '// getenv("RLMUL_IN_A_COMMENT") is not a read\n')
+        (root / "src/util/thread_pool.cpp").write_text(
+            'const long n = env_long("RLMUL_SYNTH_THREADS", 0);\n')
+        check_env_read(root)
+    got = [f for f in FAILURES if "[env-read]" in f]
+    FAILURES.clear()
+    if len(got) != 1 or not got[0].startswith("src/synth/evaluator.cpp:1:"):
+        print(f"check_invariants self-test FAILED: env-read reported {got}, "
+              "expected exactly src/synth/evaluator.cpp:1")
+        return 1
+    print("check_invariants self-test: OK")
+    return 0
+
+
 # -- header-standalone --------------------------------------------------------
 
 
@@ -421,7 +475,12 @@ def main():
                     help="C++ compiler for the header-standalone rule")
     ap.add_argument("--skip-headers", action="store_true",
                     help="skip the (slower) header-standalone rule")
+    ap.add_argument("--self-test", action="store_true",
+                    help="check the env-read rule against known "
+                    "violations instead of linting the tree")
     args = ap.parse_args()
+    if args.self_test:
+        return self_test()
     root = Path(args.root).resolve()
 
     check_naked_thread(root)
@@ -435,6 +494,7 @@ def main():
     check_netlist_patch(root)
     check_json_confinement(root)
     check_fuzz_registration(root)
+    check_env_read(root)
     if not args.skip_headers:
         check_headers_standalone(root, args.compiler)
 
