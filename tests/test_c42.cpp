@@ -122,14 +122,19 @@ TEST_P(C42EquivalenceTest, FusedTreesStayEquivalent) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Specs, C42EquivalenceTest,
-    ::testing::Values(
-        C42Spec{{4, PpgKind::kAnd, false}, netlist::CpaKind::kRippleCarry},
-        C42Spec{{8, PpgKind::kAnd, false}, netlist::CpaKind::kKoggeStone},
-        C42Spec{{8, PpgKind::kBooth, false}, netlist::CpaKind::kRippleCarry},
-        C42Spec{{8, PpgKind::kAnd, true}, netlist::CpaKind::kBrentKung},
-        C42Spec{{16, PpgKind::kAnd, false}, netlist::CpaKind::kSklansky}));
+// Static storage zero-fills the padding bytes GoogleTest prints into the
+// parameter's name; a braced temporary in Values() leaves them
+// uninitialised, and the name would change from run to run.
+constexpr C42Spec kC42Specs[] = {
+    C42Spec{{4, PpgKind::kAnd, false}, netlist::CpaKind::kRippleCarry},
+    C42Spec{{8, PpgKind::kAnd, false}, netlist::CpaKind::kKoggeStone},
+    C42Spec{{8, PpgKind::kBooth, false}, netlist::CpaKind::kRippleCarry},
+    C42Spec{{8, PpgKind::kAnd, true}, netlist::CpaKind::kBrentKung},
+    C42Spec{{16, PpgKind::kAnd, false}, netlist::CpaKind::kSklansky},
+};
+
+INSTANTIATE_TEST_SUITE_P(Specs, C42EquivalenceTest,
+                         ::testing::ValuesIn(kC42Specs));
 
 TEST(C42, RandomWalkWithExtensionStaysLegal) {
   util::Rng rng(777);

@@ -157,15 +157,21 @@ TEST_P(RandomWalkTest, StagePruningMaskIsSubset) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Specs, RandomWalkTest,
-    ::testing::Values(SweepParam{4, ppg::PpgKind::kAnd, false},
-                      SweepParam{8, ppg::PpgKind::kAnd, false},
-                      SweepParam{8, ppg::PpgKind::kBooth, false},
-                      SweepParam{8, ppg::PpgKind::kAnd, true},
-                      SweepParam{8, ppg::PpgKind::kBooth, true},
-                      SweepParam{16, ppg::PpgKind::kAnd, false},
-                      SweepParam{16, ppg::PpgKind::kBooth, false}));
+// Static storage zero-fills the padding bytes GoogleTest prints into the
+// parameter's name; a braced temporary in Values() leaves them
+// uninitialised, and the name would change from run to run.
+constexpr SweepParam kSweepParams[] = {
+    SweepParam{4, ppg::PpgKind::kAnd, false},
+    SweepParam{8, ppg::PpgKind::kAnd, false},
+    SweepParam{8, ppg::PpgKind::kBooth, false},
+    SweepParam{8, ppg::PpgKind::kAnd, true},
+    SweepParam{8, ppg::PpgKind::kBooth, true},
+    SweepParam{16, ppg::PpgKind::kAnd, false},
+    SweepParam{16, ppg::PpgKind::kBooth, false},
+};
+
+INSTANTIATE_TEST_SUITE_P(Specs, RandomWalkTest,
+                         ::testing::ValuesIn(kSweepParams));
 
 TEST(Legalize, RobustToArbitraryPerturbation) {
   // Even directly poking counts (beyond what single actions do) must be

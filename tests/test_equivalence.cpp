@@ -93,34 +93,38 @@ TEST_P(EquivalenceTest, RandomlyMutatedTrees) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Specs, EquivalenceTest,
-    ::testing::Values(
-        SpecParam{2, PpgKind::kAnd, false, CpaKind::kRippleCarry},
-        SpecParam{3, PpgKind::kAnd, false, CpaKind::kKoggeStone},
-        SpecParam{4, PpgKind::kAnd, false, CpaKind::kRippleCarry},
-        SpecParam{4, PpgKind::kAnd, false, CpaKind::kKoggeStone},
-        SpecParam{4, PpgKind::kBooth, false, CpaKind::kRippleCarry},
-        SpecParam{4, PpgKind::kBooth, false, CpaKind::kKoggeStone},
-        SpecParam{5, PpgKind::kBooth, false, CpaKind::kRippleCarry},
-        SpecParam{4, PpgKind::kAnd, true, CpaKind::kRippleCarry},
-        SpecParam{4, PpgKind::kBooth, true, CpaKind::kKoggeStone},
-        SpecParam{8, PpgKind::kAnd, false, CpaKind::kRippleCarry},
-        SpecParam{8, PpgKind::kAnd, false, CpaKind::kKoggeStone},
-        SpecParam{8, PpgKind::kBooth, false, CpaKind::kRippleCarry},
-        SpecParam{8, PpgKind::kBooth, false, CpaKind::kKoggeStone},
-        SpecParam{8, PpgKind::kAnd, true, CpaKind::kKoggeStone},
-        SpecParam{8, PpgKind::kBooth, true, CpaKind::kRippleCarry},
-        SpecParam{16, PpgKind::kAnd, false, CpaKind::kKoggeStone},
-        SpecParam{16, PpgKind::kBooth, false, CpaKind::kRippleCarry},
-        SpecParam{16, PpgKind::kAnd, true, CpaKind::kRippleCarry},
-        SpecParam{16, PpgKind::kBooth, true, CpaKind::kKoggeStone},
-        SpecParam{4, PpgKind::kBaughWooley, false, CpaKind::kRippleCarry},
-        SpecParam{5, PpgKind::kBaughWooley, false, CpaKind::kKoggeStone},
-        SpecParam{8, PpgKind::kBaughWooley, false, CpaKind::kRippleCarry},
-        SpecParam{8, PpgKind::kBaughWooley, true, CpaKind::kKoggeStone},
-        SpecParam{16, PpgKind::kBaughWooley, false, CpaKind::kKoggeStone}),
-    param_name);
+// Static storage zero-fills the padding bytes GoogleTest prints into the
+// parameter's name; a braced temporary in Values() leaves them
+// uninitialised, and the name would change from run to run.
+constexpr SpecParam kSpecParams[] = {
+    SpecParam{2, PpgKind::kAnd, false, CpaKind::kRippleCarry},
+    SpecParam{3, PpgKind::kAnd, false, CpaKind::kKoggeStone},
+    SpecParam{4, PpgKind::kAnd, false, CpaKind::kRippleCarry},
+    SpecParam{4, PpgKind::kAnd, false, CpaKind::kKoggeStone},
+    SpecParam{4, PpgKind::kBooth, false, CpaKind::kRippleCarry},
+    SpecParam{4, PpgKind::kBooth, false, CpaKind::kKoggeStone},
+    SpecParam{5, PpgKind::kBooth, false, CpaKind::kRippleCarry},
+    SpecParam{4, PpgKind::kAnd, true, CpaKind::kRippleCarry},
+    SpecParam{4, PpgKind::kBooth, true, CpaKind::kKoggeStone},
+    SpecParam{8, PpgKind::kAnd, false, CpaKind::kRippleCarry},
+    SpecParam{8, PpgKind::kAnd, false, CpaKind::kKoggeStone},
+    SpecParam{8, PpgKind::kBooth, false, CpaKind::kRippleCarry},
+    SpecParam{8, PpgKind::kBooth, false, CpaKind::kKoggeStone},
+    SpecParam{8, PpgKind::kAnd, true, CpaKind::kKoggeStone},
+    SpecParam{8, PpgKind::kBooth, true, CpaKind::kRippleCarry},
+    SpecParam{16, PpgKind::kAnd, false, CpaKind::kKoggeStone},
+    SpecParam{16, PpgKind::kBooth, false, CpaKind::kRippleCarry},
+    SpecParam{16, PpgKind::kAnd, true, CpaKind::kRippleCarry},
+    SpecParam{16, PpgKind::kBooth, true, CpaKind::kKoggeStone},
+    SpecParam{4, PpgKind::kBaughWooley, false, CpaKind::kRippleCarry},
+    SpecParam{5, PpgKind::kBaughWooley, false, CpaKind::kKoggeStone},
+    SpecParam{8, PpgKind::kBaughWooley, false, CpaKind::kRippleCarry},
+    SpecParam{8, PpgKind::kBaughWooley, true, CpaKind::kKoggeStone},
+    SpecParam{16, PpgKind::kBaughWooley, false, CpaKind::kKoggeStone},
+};
+
+INSTANTIATE_TEST_SUITE_P(Specs, EquivalenceTest,
+                         ::testing::ValuesIn(kSpecParams), param_name);
 
 TEST(GoldenModel, SignedProduct) {
   // 4-bit signed: -8..7.

@@ -38,15 +38,20 @@ TEST_P(GoldenMetricsTest, RelaxedSynthesisWithinBand) {
 // 16b AND ~1410 / 1.53; MBE ~20-25% larger and slower at these widths.
 // Paper's Table I (their testbed): 427/0.853 and 1812/1.41 — same
 // ballpark, which is all the substitution promises.
-INSTANTIATE_TEST_SUITE_P(
-    Designs, GoldenMetricsTest,
-    ::testing::Values(
-        Band{{8, PpgKind::kAnd, false}, 230, 460, 0.55, 1.10},
-        Band{{8, PpgKind::kBooth, false}, 280, 570, 0.65, 1.40},
-        Band{{16, PpgKind::kAnd, false}, 1000, 2000, 1.05, 2.15},
-        Band{{16, PpgKind::kBooth, false}, 1030, 2100, 1.20, 2.55},
-        Band{{8, PpgKind::kAnd, true}, 260, 540, 0.60, 1.25},
-        Band{{8, PpgKind::kBaughWooley, false}, 230, 480, 0.55, 1.15}));
+// Static storage zero-fills the padding bytes GoogleTest prints into the
+// parameter's name; a braced temporary in Values() leaves them
+// uninitialised, and the name would change from run to run.
+constexpr Band kBands[] = {
+    Band{{8, PpgKind::kAnd, false}, 230, 460, 0.55, 1.10},
+    Band{{8, PpgKind::kBooth, false}, 280, 570, 0.65, 1.40},
+    Band{{16, PpgKind::kAnd, false}, 1000, 2000, 1.05, 2.15},
+    Band{{16, PpgKind::kBooth, false}, 1030, 2100, 1.20, 2.55},
+    Band{{8, PpgKind::kAnd, true}, 260, 540, 0.60, 1.25},
+    Band{{8, PpgKind::kBaughWooley, false}, 230, 480, 0.55, 1.15},
+};
+
+INSTANTIATE_TEST_SUITE_P(Designs, GoldenMetricsTest,
+                         ::testing::ValuesIn(kBands));
 
 TEST(GoldenRatios, SixteenBitIsRoughlyFourTimesEightBitArea) {
   const MultiplierSpec s8{8, PpgKind::kAnd, false};

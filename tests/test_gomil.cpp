@@ -54,14 +54,20 @@ TEST_P(GomilSpecTest, BeatsOrTiesLegacyTreesOnObjective) {
   EXPECT_LE(dp.objective, tree_area(ct::dadda_tree(pp)) + 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Specs, GomilSpecTest,
-    ::testing::Values(MultiplierSpec{4, PpgKind::kAnd, false},
-                      MultiplierSpec{6, PpgKind::kAnd, false},
-                      MultiplierSpec{8, PpgKind::kAnd, false},
-                      MultiplierSpec{8, PpgKind::kBooth, false},
-                      MultiplierSpec{8, PpgKind::kAnd, true},
-                      MultiplierSpec{16, PpgKind::kAnd, false}));
+// Static storage zero-fills the padding bytes GoogleTest prints into the
+// parameter's name; a braced temporary in Values() leaves them
+// uninitialised, and the name would change from run to run.
+constexpr MultiplierSpec kGomilSpecs[] = {
+    MultiplierSpec{4, PpgKind::kAnd, false},
+    MultiplierSpec{6, PpgKind::kAnd, false},
+    MultiplierSpec{8, PpgKind::kAnd, false},
+    MultiplierSpec{8, PpgKind::kBooth, false},
+    MultiplierSpec{8, PpgKind::kAnd, true},
+    MultiplierSpec{16, PpgKind::kAnd, false},
+};
+
+INSTANTIATE_TEST_SUITE_P(Specs, GomilSpecTest,
+                         ::testing::ValuesIn(kGomilSpecs));
 
 TEST(Gomil, HandlesEmptyTopColumn) {
   // AND-based heights end in a zero column; the z-indicator path of the

@@ -124,19 +124,24 @@ TEST_P(PeAccumulateTest, AccumulatorMatchesGoldenModel) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cells, PeAccumulateTest,
-    ::testing::Values(
-        std::make_pair(MultiplierSpec{3, PpgKind::kAnd, true},
-                       CpaKind::kRippleCarry),
-        std::make_pair(MultiplierSpec{4, PpgKind::kAnd, true},
-                       CpaKind::kKoggeStone),
-        std::make_pair(MultiplierSpec{4, PpgKind::kBooth, true},
-                       CpaKind::kRippleCarry),
-        std::make_pair(MultiplierSpec{4, PpgKind::kAnd, false},
-                       CpaKind::kRippleCarry),
-        std::make_pair(MultiplierSpec{4, PpgKind::kBooth, false},
-                       CpaKind::kKoggeStone)));
+// Static storage zero-fills the padding bytes GoogleTest prints into the
+// parameter's name; a braced temporary in Values() leaves them
+// uninitialised, and the name would change from run to run.
+constexpr std::pair<MultiplierSpec, CpaKind> kPeParams[] = {
+    std::make_pair(MultiplierSpec{3, PpgKind::kAnd, true},
+                   CpaKind::kRippleCarry),
+    std::make_pair(MultiplierSpec{4, PpgKind::kAnd, true},
+                   CpaKind::kKoggeStone),
+    std::make_pair(MultiplierSpec{4, PpgKind::kBooth, true},
+                   CpaKind::kRippleCarry),
+    std::make_pair(MultiplierSpec{4, PpgKind::kAnd, false},
+                   CpaKind::kRippleCarry),
+    std::make_pair(MultiplierSpec{4, PpgKind::kBooth, false},
+                   CpaKind::kKoggeStone),
+};
+
+INSTANTIATE_TEST_SUITE_P(Cells, PeAccumulateTest,
+                         ::testing::ValuesIn(kPeParams));
 
 TEST(PeCell, SequentialTimingDominatedByMacPath) {
   const auto spec = mac_spec(8);

@@ -48,14 +48,19 @@ TEST_P(TdmTest, SameCellBudgetAsFifoOrder) {
   EXPECT_EQ(plain.kind_histogram(), ordered.kind_histogram());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Specs, TdmTest,
-    ::testing::Values(
-        TdmParam{{4, PpgKind::kAnd, false}, CpaKind::kRippleCarry},
-        TdmParam{{8, PpgKind::kAnd, false}, CpaKind::kKoggeStone},
-        TdmParam{{8, PpgKind::kBooth, false}, CpaKind::kRippleCarry},
-        TdmParam{{8, PpgKind::kAnd, true}, CpaKind::kBrentKung},
-        TdmParam{{16, PpgKind::kAnd, false}, CpaKind::kKoggeStone}));
+// Static storage zero-fills the padding bytes GoogleTest prints into the
+// parameter's name; a braced temporary in Values() leaves them
+// uninitialised, and the name would change from run to run.
+constexpr TdmParam kTdmParams[] = {
+    TdmParam{{4, PpgKind::kAnd, false}, CpaKind::kRippleCarry},
+    TdmParam{{8, PpgKind::kAnd, false}, CpaKind::kKoggeStone},
+    TdmParam{{8, PpgKind::kBooth, false}, CpaKind::kRippleCarry},
+    TdmParam{{8, PpgKind::kAnd, true}, CpaKind::kBrentKung},
+    TdmParam{{16, PpgKind::kAnd, false}, CpaKind::kKoggeStone},
+};
+
+INSTANTIATE_TEST_SUITE_P(Specs, TdmTest,
+                         ::testing::ValuesIn(kTdmParams));
 
 TEST(Tdm, ReducesOrMatchesCriticalDelayAt16Bits) {
   const MultiplierSpec spec{16, PpgKind::kAnd, false};
